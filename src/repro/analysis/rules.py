@@ -468,9 +468,9 @@ class NoClosureOnDispatchPath(Rule):
         "argument allocates a fresh closure and cell objects for every "
         "event; the scheduler already stores trailing arguments on the "
         "event handle, so ``sim.at(t, self._writeback, block)`` carries "
-        "the same state with zero extra allocation. The campaign-scale "
-        "cost of the closure idiom is what the ladder-queue rewrite "
-        "removed; this rule keeps it out of repro.sim/cache/dram and "
+        "the same state with zero extra allocation. Removing the closure "
+        "idiom was part of a measured campaign-scale speedup; this "
+        "rule keeps it out of repro.sim/cache/dram and "
         "out of any function the call graph proves dispatch-reachable.")
 
     _MESSAGES = {

@@ -1,10 +1,9 @@
 """Frozen pre-seam :class:`TagStore` — the bit-identity A/B reference.
 
 This is the tag store exactly as it was before the organization /
-replacement seam landed (same discipline as the event kernel keeping
-``queue="heap"`` next to the ladder queue): a verbatim copy of the old
-control flow with LRU hard-coded as list order and ``block % num_sets``
-indexing inlined. Select it with
+replacement seam landed: a verbatim copy of the old control flow
+with LRU hard-coded as list order and ``block % num_sets`` indexing
+inlined. Select it with
 ``SystemConfig(cache_organization="reference")``; the A/B suite in
 ``tests/test_design_zoo.py`` runs every design against both stores and
 requires ``dataclasses.asdict``-identical :class:`RunResult`\\ s.
