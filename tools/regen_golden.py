@@ -70,6 +70,8 @@ def cells() -> List[Cell]:
     * each design on one high-miss (ft.D) and one low-miss (lu.C)
       workload, ddr5 / write_allocate;
     * tdram and cascade_lake on ft.D across every backend and cache mode;
+    * no_cache on pr.25 and is.D, the no-cache baseline whose every
+      demand reaches the DDR5 scheduler (the ``nocache_mm`` pairs);
     * one sampled tdram/pr.25 run, since sampled mode builds its own
       simulator.
     """
@@ -81,6 +83,7 @@ def cells() -> List[Cell]:
                 cell = Cell(design, "ft.D", backend, mode)
                 if cell not in out:
                     out.append(cell)
+    out.extend(Cell("no_cache", workload) for workload in ("pr.25", "is.D"))
     out.append(Cell("tdram", "pr.25", demands_per_core=1000, sampled=True))
     return out
 
