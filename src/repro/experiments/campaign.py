@@ -62,7 +62,7 @@ from repro.workloads.suite import workload as lookup_workload
 
 #: Bump to invalidate every existing cache entry (simulator behaviour
 #: changes that alter results without touching any key ingredient).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: ``progress(done, total, label, source, eta_s)`` — ``source`` is one
 #: of "cached", "simulated", "replayed", "retried", "failed", or

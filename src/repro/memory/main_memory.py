@@ -73,6 +73,8 @@ class _ChannelScheduler:
         self.writes: List[_PendingWrite] = []
         self.draining = False
         self._wake_at: Optional[int] = None
+        #: kernel handle of the one pending wake (``None`` with ``_wake_at``)
+        self._wake: Optional[list] = None
         self.read_queue_delay = LatencyStat("mm_read_queue")
         self.read_latency = LatencyStat("mm_read_latency")
 
@@ -122,19 +124,33 @@ class _ChannelScheduler:
                 self.draining = False
 
     def _kick(self) -> None:
-        now = self.sim.now
-        if self._wake_at is not None and self._wake_at <= now:
-            self._wake_at = None
         if self._wake_at is not None:
-            return
+            if self._wake_at > self.sim.now:
+                return  # the pending wake decides for this arrival too
+            # The wake is due at this instant but not yet dispatched:
+            # decide now and drop it, so it starts no second wake chain.
+            self._cancel_wake()
         self._try_issue()
 
     def _schedule_wake(self, at: int) -> None:
+        """Wake at ``at`` unless an earlier wake is already pending:
+        a channel keeps exactly one pending wake."""
         at = max(at, self.sim.now + 1)
+        if self._wake_at is not None:
+            if self._wake_at <= at:
+                return
+            self._cancel_wake()
         self._wake_at = at
-        self.sim.at(at, self._on_wake)
+        self._wake = self.sim.at(at, self._on_wake)
+
+    def _cancel_wake(self) -> None:
+        assert self._wake is not None
+        self.sim.cancel(self._wake)
+        self._wake = None
+        self._wake_at = None
 
     def _on_wake(self) -> None:
+        self._wake = None
         self._wake_at = None
         self._try_issue()
 
