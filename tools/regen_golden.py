@@ -72,6 +72,8 @@ def cells() -> List[Cell]:
     * tdram and cascade_lake on ft.D across every backend and cache mode;
     * no_cache on pr.25 and is.D, the no-cache baseline whose every
       demand reaches the DDR5 scheduler (the ``nocache_mm`` pairs);
+    * tictoc on bfs.22, the only cell that reaches TicToc's clean-region
+      bypass read (its hit branch and the bypass return);
     * one sampled tdram/pr.25 run, since sampled mode builds its own
       simulator.
     """
@@ -84,6 +86,7 @@ def cells() -> List[Cell]:
                 if cell not in out:
                     out.append(cell)
     out.extend(Cell("no_cache", workload) for workload in ("pr.25", "is.D"))
+    out.append(Cell("tictoc", "bfs.22"))
     out.append(Cell("tdram", "pr.25", demands_per_core=1000, sampled=True))
     return out
 
