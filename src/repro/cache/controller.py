@@ -252,16 +252,9 @@ class DramCacheController(abc.ABC):
     def _build_tag_store(self, geometry: DramGeometry) -> TagStore:
         """Construct the design's tag store (the organization seam).
 
-        The default is set-associative LRU, matching the pre-seam
-        behaviour bit for bit. ``cache_organization="reference"``
-        selects the frozen pre-seam store for A/B runs; designs with a
-        custom layout (Gemini, TicToc) override this hook.
+        The default is set-associative LRU; designs with a custom
+        layout (Gemini, TicToc) override this hook.
         """
-        if self.config.cache_organization == "reference":
-            from repro.cache.reference_tagstore import ReferenceTagStore
-
-            return ReferenceTagStore(geometry.total_blocks,
-                                     self.config.cache_ways)
         return TagStore(geometry.total_blocks, self.config.cache_ways)
 
     # ------------------------------------------------------------------

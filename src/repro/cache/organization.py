@@ -13,13 +13,12 @@ inside it is split into two seams the store composes:
   dirty-region list are exactly such mirrors).
 
 The default pairing — :class:`SetAssociativeOrganization` +
-:class:`LruPolicy` — reproduces the pre-seam behaviour bit for bit
-(LRU is encoded as list order: index 0 = LRU, last = MRU); the A/B
-suite in ``tests/test_design_zoo.py`` proves it against the frozen
-:class:`~repro.cache.reference_tagstore.ReferenceTagStore` for every
-design. New designs plug in here: Gemini's hybrid mapping is an
-:class:`Organization`, TicToc's mirrored SRAM structures ride a
-:class:`ReplacementPolicy` (see ``docs/design-zoo.md``).
+:class:`LruPolicy` — encodes LRU as list order (index 0 = LRU,
+last = MRU); the golden corpus (``tests/golden/``) locks the whole-run
+results of every design built on it. New designs plug in here:
+Gemini's hybrid mapping is an :class:`Organization`, TicToc's mirrored
+SRAM structures ride a :class:`ReplacementPolicy` (see
+``docs/design-zoo.md``).
 """
 
 from __future__ import annotations

@@ -85,9 +85,6 @@ class SystemConfig:
     #: (explicit drains only — the ablation knob isolating the
     #: opportunistic channels' contribution)
     flush_unload_policy: str = "opportunistic"
-    #: tag-store implementation: "set_associative" (the seamed default)
-    #: or "reference" (frozen pre-seam store, bit-identity A/B runs)
-    cache_organization: str = "set_associative"
     # -- design-zoo knobs: Gemini-style hybrid mapping (gemini_hybrid) --
     #: fraction of cache frames reserved for the direct-mapped hot region
     gemini_direct_fraction: float = 0.5
@@ -110,8 +107,7 @@ class SystemConfig:
     mm_capacity_bytes: int = 16 * 64 * MIB   #: 16x the cache, as in the paper
     mm_timing: DramTiming = field(default_factory=ddr5_timing)
     # -- backing-store backend tier (docs/backends.md) --
-    #: "ddr5" (default open-page FR-FCFS model), "ddr5_reference"
-    #: (frozen pre-seam copy for bit-identity A/B runs), "pcm_like"
+    #: "ddr5" (default open-page FR-FCFS model), "pcm_like"
     #: (asymmetric timing, bounded MSHRs, deferred writes, wear), or
     #: "cxl_like" (serialized link latency + bandwidth credits)
     memory_backend: str = "ddr5"
@@ -162,9 +158,6 @@ class SystemConfig:
             raise ConfigError("cores must be positive")
         if self.cache_ways <= 0:
             raise ConfigError("cache_ways must be positive")
-        if self.cache_organization not in ("set_associative", "reference"):
-            raise ConfigError(
-                f"unknown cache_organization {self.cache_organization!r}")
         if not 0.0 < self.gemini_direct_fraction < 1.0:
             raise ConfigError("gemini_direct_fraction must be in (0, 1)")
         if self.gemini_assoc_ways <= 0:

@@ -95,10 +95,7 @@ class PatrolScrubber:
                 self.counters.add("scrub_data_loss")
             lines.remove(line)
             # Surface the drop to the replacement policy so residency
-            # mirrors (TicToc's tag cache / dirty list) stay exact. The
-            # frozen reference store predates the seam and has none.
-            policy = getattr(self.tags, "policy", None)
-            if policy is not None:
-                policy.on_evict(line)
+            # mirrors (TicToc's tag cache / dirty list) stay exact.
+            self.tags.policy.on_evict(line)
             self.degrade.record_uncorrectable(line.block)
         return examined

@@ -1,20 +1,15 @@
-"""Design-zoo seam tests: bit-identity A/B, policy fixtures, RAS books.
+"""Design-zoo seam tests: tag-store hook, policy fixtures, RAS books.
 
-The organization/replacement refactor must be invisible to every
-pre-existing design: ``TestBitIdentity`` runs each one through
-``run_experiment`` twice — seamed :class:`TagStore` vs the frozen
-:class:`ReferenceTagStore` — and requires ``dataclasses.asdict``
-equality of the *full* :class:`RunResult`. The remaining classes pin
-the seam pieces in isolation (LRU order, hybrid set math, SRAM tag
-cache, dirty-region list, TicToc mirrors) and the hot-path/accounting
-fixes that rode along: ``fill``'s single-walk stale-drop semantics,
-ECC decode counts balancing across the probe→install pair, and the
-zero-demand breakdown convention.
+These pin the organization/replacement seam pieces in isolation (the
+default tag-store hook, LRU order, hybrid set math, SRAM tag cache,
+dirty-region list, TicToc mirrors) and the hot-path/accounting fixes
+that rode along: ``fill``'s single-walk stale-drop semantics, ECC
+decode counts balancing across the probe→install pair, and the
+zero-demand breakdown convention. Whole-run results of every design
+are locked by the golden corpus (``tests/test_golden.py``).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -27,7 +22,6 @@ from repro.cache.organization import (
     SramTagCache,
     TictocPolicy,
 )
-from repro.cache.reference_tagstore import ReferenceTagStore
 from repro.cache.request import Outcome
 from repro.cache.tagstore import TagStore
 from repro.config.system import SystemConfig
@@ -35,37 +29,18 @@ from repro.errors import ConfigError
 from repro.experiments.runner import run_experiment
 from repro.stats.counters import RasCounters
 
-#: every design that existed before the seam — each must be bit-
-#: identical through it
-PRE_SEAM_DESIGNS = (
-    "cascade_lake", "alloy", "bear", "ndc", "tdram", "ideal", "no_cache",
-)
-
 
 # ---------------------------------------------------------------------------
-# Tentpole: the seam changes nothing for existing designs
+# The default tag-store hook
 # ---------------------------------------------------------------------------
-class TestBitIdentity:
-    @pytest.mark.parametrize("design", PRE_SEAM_DESIGNS)
-    def test_design_bit_identical_through_seam(self, design):
-        config = SystemConfig.small()
-        reference = config.with_(cache_organization="reference")
-        seamed = run_experiment(design, "bfs.22", config=config,
-                                demands_per_core=150, seed=11)
-        frozen = run_experiment(design, "bfs.22", config=reference,
-                                demands_per_core=150, seed=11)
-        assert dataclasses.asdict(seamed) == dataclasses.asdict(frozen)
-
-    def test_reference_organization_selects_frozen_store(self, make_system):
-        from repro.cache.cascade_lake import CascadeLakeCache
-        system = make_system(CascadeLakeCache,
-                             cache_organization="reference")
-        assert isinstance(system.cache.tags, ReferenceTagStore)
-
-    def test_default_organization_selects_seamed_store(self, make_system):
+class TestBuildTagStore:
+    def test_default_hook_builds_set_associative_lru_store(self, make_system):
         from repro.cache.cascade_lake import CascadeLakeCache
         system = make_system(CascadeLakeCache)
-        assert type(system.cache.tags) is TagStore
+        tags = system.cache.tags
+        assert type(tags) is TagStore
+        assert type(tags.organization) is SetAssociativeOrganization
+        assert type(tags.policy) is LruPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +239,16 @@ class TestTictocPolicyMirrors:
 # Satellite: fill()'s single-walk stale-drop semantics
 # ---------------------------------------------------------------------------
 class TestFillSemantics:
-    @pytest.mark.parametrize("store_cls", [TagStore, ReferenceTagStore])
-    def test_stale_clean_fill_dropped(self, store_cls):
-        tags = store_cls(8, 2)
+    def test_stale_clean_fill_dropped(self):
+        tags = TagStore(8, 2)
         # A write allocated the block (dirty) while the miss fetch was
         # in flight: the late clean fill must not clobber it.
         tags.install(3, dirty=True)
         assert tags.fill(3) is None
         assert tags.is_dirty(3)
 
-    @pytest.mark.parametrize("store_cls", [TagStore, ReferenceTagStore])
-    def test_fill_evicts_when_set_full(self, store_cls):
-        tags = store_cls(4, 1)
+    def test_fill_evicts_when_set_full(self):
+        tags = TagStore(4, 1)
         tags.install(2, dirty=True)
         assert tags.fill(6) == (2, True)
         assert tags.contains(6) and not tags.contains(2)

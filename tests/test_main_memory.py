@@ -6,16 +6,15 @@ from repro.config.system import MIB, SystemConfig
 from repro.dram.address import DecodedAddress
 from repro.experiments.runner import run_experiment
 from repro.memory.main_memory import MainMemory
-from repro.memory.reference_backend import ReferenceMainMemory
 from repro.sim.kernel import Simulator, ns
 
 
-def make_mm(channels=2, backend=MainMemory):
+def make_mm(channels=2):
     sim = Simulator()
     config = SystemConfig(cache_capacity_bytes=1 * MIB,
                           mm_capacity_bytes=16 * MIB,
                           mm_channels=channels)
-    mm = backend(sim, config.mm_timing, config.mm_geometry())
+    mm = MainMemory(sim, config.mm_timing, config.mm_geometry())
     return sim, mm
 
 
@@ -121,9 +120,8 @@ class TestOneWakePerChannel:
         return [handle[0] for handle in sim._heap
                 if handle[2] is not None and handle[2] == scheduler._on_wake]
 
-    @pytest.mark.parametrize("backend", [MainMemory, ReferenceMainMemory])
-    def test_at_most_one_pending_wake_at_every_dispatch(self, backend):
-        sim, mm = make_mm(channels=2, backend=backend)
+    def test_at_most_one_pending_wake_at_every_dispatch(self):
+        sim, mm = make_mm(channels=2)
         geometry = mm.mapper.geometry
         # Channel 0, bank 0, a new row for every request: each one is a
         # row conflict. Arrivals on a 0.5 ns grid land on the instants
