@@ -1,4 +1,4 @@
-"""Die-area and signal-count overhead model (§III-C5 and Fig. 4A).
+"""Die-area, signal-count and tag-width arithmetic (§III-C and Fig. 4A).
 
 The paper's arithmetic, reproduced as executable functions:
 
@@ -8,12 +8,17 @@ The paper's arithmetic, reproduced as executable functions:
   ``0.243 x 0.5 x 0.66 = 8.02 %``, plus ~0.22 % of routing = 8.24 %;
 * each 32-bit channel adds 2 CA + 4 HM = 6 signals; over 32 channels
   that is 192 signals, a ~9.7-10 % increase over HBM3's pin budget,
-  fitting in the 320 unused bump sites of the HBM3 package.
+  fitting in the 320 unused bump sites of the HBM3 package;
+* a direct-mapped 64 GiB TDRAM in a 1 PB address space needs a 14-bit
+  tag, which with valid + dirty leaves 8 bits of ECC in the 3 B of
+  tag storage per line (§III-C3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.errors import ConfigError
 
 #: HBM3 reference signal counts (Fig. 4A table).
 HBM3_DQ_SIGNALS = 1024
@@ -45,6 +50,20 @@ class SignalReport:
     total_signals: int
     overhead_fraction: float
     fits_in_unused_bumps: bool
+
+
+def tag_bits_for(address_space_bytes: int, cache_bytes: int) -> int:
+    """Tag width for a direct-mapped cache of ``cache_bytes``.
+
+    >>> tag_bits_for(2**50, 64 * 2**30)   # 1 PB space, 64 GiB cache
+    14
+    """
+    if address_space_bytes <= 0 or cache_bytes <= 0:
+        raise ConfigError("sizes must be positive")
+    if address_space_bytes <= cache_bytes:
+        return 0
+    ratio = address_space_bytes // cache_bytes
+    return max(0, ratio - 1).bit_length()
 
 
 def tag_area_overhead(scale_per_dimension: float = 0.5,

@@ -90,7 +90,6 @@ class DramTiming:
     tRRD: int = ns(2)         #: activate-to-activate, different banks
     tXAW: int = ns(16)        #: rolling activation window (4 activates)
     tRL_core: int = ns(2)     #: internal read latency for flush-buffer moves
-    tRTW_int: int = ns(1)     #: internal read-to-write turnaround
     activates_per_window: int = 8
     # -- values not in Table III (JEDEC-typical, documented choices) --
     tWR: int = ns(14)         #: write recovery before precharge
@@ -120,8 +119,8 @@ class DramTiming:
                 f"bus rates must be positive: clock_ghz={self.clock_ghz}, "
                 f"data_rate_gbps={self.data_rate_gbps}")
         positive = ("tBURST", "tRCD", "tRCD_WR", "tCCD_L", "tRP", "tRAS",
-                    "tCL", "tCWL", "tRRD", "tXAW", "tRL_core", "tRTW_int",
-                    "tWR", "tRTW", "tWTR", "tCMD", "tREFI", "tRFC")
+                    "tCL", "tCWL", "tRRD", "tXAW", "tRL_core", "tWR",
+                    "tRTW", "tWTR", "tCMD", "tREFI", "tRFC")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise TimingError(

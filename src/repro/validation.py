@@ -1,9 +1,11 @@
 """Self-check: fast invariants anyone can run after an install.
 
 Mirrors the base-die BIST the paper mentions (§III-C3) in spirit: a
-battery of analytic checks over the configured timing, area, ECC, and
-protocol constants, returning human-readable pass/fail lines. The CLI
-exposes it as ``tdram-repro selfcheck``; CI runs it as a test.
+battery of checks over the configured timing, area, ECC, and protocol
+constants, returning human-readable pass/fail lines. Timing claims are
+checked on the simulated device (:class:`~repro.dram.device.DramChannel`)
+where it times them. The CLI exposes it as ``tdram-repro selfcheck``;
+CI runs it as a test.
 """
 
 from __future__ import annotations
@@ -11,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from repro.core.area import die_area_report, signal_report
-from repro.core.commands import hm_precedes_data_by
+from repro.core.area import die_area_report, signal_report, tag_bits_for
 from repro.core.ecc import EccOutcome, tag_ecc_code
-from repro.core.hm_bus import packet_beats, tag_bits_for
-from repro.core.tag_mats import flush_move_safe, internal_result_hidden
+from repro.dram.device import HM_PACKET_TIME, DramChannel
 from repro.dram.timing import DramTiming, TagTiming, hbm3_cache_timing, \
     rldram_like_tag_timing
-from repro.sim.kernel import ns
+from repro.sim.kernel import Simulator, ns
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,29 @@ def run_selfcheck(
 
     @check("internal tag result hides under tRCD (§III-C4)")
     def _hidden():
-        ok = internal_result_hidden(timing, tag)
-        return ok, (f"tRCD_TAG + tHM_int = "
-                    f"{(tag.tRCD_TAG + tag.tHM_int) / 1000:.1f} ns vs "
-                    f"tRCD = {timing.tRCD / 1000:.1f} ns")
+        internal = tag.tRCD_TAG + tag.tHM_int
+        return internal <= timing.tRCD, (
+            f"tRCD_TAG + tHM_int = {internal / 1000:.1f} ns vs "
+            f"tRCD = {timing.tRCD / 1000:.1f} ns")
 
     @check("flush-buffer move beats incoming write data (§III-C4)")
     def _flush():
-        return flush_move_safe(timing, tag), \
-            f"tRL_core = {timing.tRL_core / 1000:.1f} ns"
+        # The dirty line must reach the flush buffer within
+        # t_intRD + tWR_data_delay + tBURST/2 (4 + 4 + 1 = 9 ns).
+        bound = ns(4) + ns(4) + timing.tBURST // 2
+        return timing.tRL_core <= bound, (
+            f"tRL_core = {timing.tRL_core / 1000:.1f} ns vs "
+            f"{bound / 1000:.1f} ns")
 
     @check("HM result precedes read data (conditional response window)")
     def _window():
-        gap = hm_precedes_data_by(timing, tag)
-        return gap > 0, f"window = {gap / 1000:.1f} ns"
+        channel = DramChannel(Simulator(), timing, 16, tag_timing=tag,
+                              enable_refresh=False)
+        grant = channel.issue_access(0, 0, is_write=False, with_tag=True)
+        gap = grant.data_start - grant.hm_at
+        return grant.hm_at < grant.data_start, (
+            f"device ActRd: HM at {grant.hm_at / 1000:.2f} ns, data at "
+            f"{grant.data_start / 1000:.2f} ns, window = {gap / 1000:.2f} ns")
 
     @check("die-area overhead = 8.24 % (§III-C5)")
     def _area():
@@ -86,8 +95,11 @@ def run_selfcheck(
 
     @check("3 B metadata = 6 beats on the 4-bit HM bus (§III-B)")
     def _beats():
-        beats = packet_beats()
-        return beats == 6, f"{beats} beats"
+        beats = 3 * 8 // 4
+        beat = ns(1 / timing.data_rate_gbps)
+        return beats == 6 and HM_PACKET_TIME == beats * beat, (
+            f"{beats} beats x {beat} ps = {beats * beat} ps vs "
+            f"device HM packet {HM_PACKET_TIME} ps")
 
     @check("tag SECDED corrects any single-bit error in 8-bit budget")
     def _ecc():

@@ -11,7 +11,6 @@ from repro.workloads.suite import (
     suite_by_name,
     workload,
 )
-from repro.workloads.phases import Phase, PhasedWorkload, run_phased_experiment
 from repro.workloads.trace import (
     TraceStats,
     capture_trace,
@@ -47,9 +46,6 @@ __all__ = [
     "representative_suite",
     "suite_by_name",
     "workload",
-    "Phase",
-    "PhasedWorkload",
-    "run_phased_experiment",
     "TraceStats",
     "capture_trace",
     "read_trace",

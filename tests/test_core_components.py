@@ -1,5 +1,6 @@
-"""Unit tests for TDRAM's device internals: flush buffer, HM packets,
-command walks, tag mats, and area/signal overheads."""
+"""Unit tests for TDRAM's device internals: flush buffer, the §III-C4
+inequalities, and area/signal/tag-width arithmetic. Command timing is
+tested on the device in test_device.py."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,25 +10,11 @@ from repro.core.area import (
     die_area_report,
     signal_report,
     tag_area_overhead,
-)
-from repro.core.commands import (
-    hm_precedes_data_by,
-    walk_probe,
-    walk_read,
-    walk_write,
+    tag_bits_for,
 )
 from repro.core.flush_buffer import FlushBuffer
-from repro.core.hm_bus import HmPacket, packet_beats, tag_bits_for
-from repro.core.tag_mats import (
-    flush_move_safe,
-    internal_result_hidden,
-    layout_for,
-    tag_check_speed_ratio,
-)
-from repro.dram.address import DramGeometry
-from repro.dram.timing import hbm3_cache_timing, rldram_like_tag_timing
 from repro.errors import ConfigError
-from repro.sim.kernel import ns
+from repro.validation import run_selfcheck
 
 
 class TestFlushBuffer:
@@ -90,101 +77,15 @@ class TestFlushBuffer:
             assert len(fb) <= 16
 
 
-class TestHmPackets:
-    def test_encode_decode_roundtrip(self):
-        packet = HmPacket(hit=False, valid=True, dirty=True, tag=0x2A5C)
-        assert HmPacket.decode(packet.encode(14), 14) == packet
-
-    @given(hit=st.booleans(), valid=st.booleans(), dirty=st.booleans(),
-           tag=st.integers(min_value=0, max_value=(1 << 14) - 1))
-    def test_property_roundtrip_any_packet(self, hit, valid, dirty, tag):
-        packet = HmPacket(hit=hit, valid=valid, dirty=dirty, tag=tag)
-        assert HmPacket.decode(packet.encode(14), 14) == packet
-
-    def test_oversized_tag_rejected(self):
-        with pytest.raises(ConfigError):
-            HmPacket(hit=True, valid=True, dirty=False, tag=1 << 14).encode(14)
-
-    def test_paper_tag_width_example(self):
-        """§III-C3: 1 PB space on a 64 GiB direct-mapped cache -> 14 bits."""
-        assert tag_bits_for(2 ** 50, 64 * 2 ** 30) == 14
-
-    def test_tag_bits_zero_when_cache_covers_space(self):
-        assert tag_bits_for(2 ** 20, 2 ** 20) == 0
-
-    def test_packet_beats_matches_paper(self):
-        """§III-B: 3 B of metadata take 6 beats on the 4-bit HM bus."""
-        assert packet_beats() == 6
-
-    def test_packet_beats_validation(self):
-        with pytest.raises(ConfigError):
-            packet_beats(0)
-
-
-class TestCommandWalks:
-    def test_read_hit_walk_has_data_burst(self):
-        events = walk_read(hbm3_cache_timing(), rldram_like_tag_timing(), hit=True)
-        labels = [e.label for e in events]
-        assert "data burst starts (DQ)" in labels
-        times = [e.time_ps for e in events]
-        assert times == sorted(times)
-
-    def test_read_miss_walk_gates_column_decode(self):
-        events = walk_read(hbm3_cache_timing(), rldram_like_tag_timing(), hit=False)
-        labels = [e.label for e in events]
-        assert "column decode gated off (no DQ data)" in labels
-        assert not any("data burst" in label for label in labels)
-
-    def test_hm_reaches_controller_before_data(self):
-        """Fig. 5's central property: the conditional response window."""
-        timing, tag = hbm3_cache_timing(), rldram_like_tag_timing()
-        assert hm_precedes_data_by(timing, tag) == ns(15)
-        events = {e.label: e.time_ps for e in walk_read(timing, tag, hit=True)}
-        assert events["HM result at controller"] < events["data burst starts (DQ)"]
-
-    def test_write_miss_dirty_walk_includes_internal_read(self):
-        events = walk_write(hbm3_cache_timing(), rldram_like_tag_timing(),
-                            miss_dirty=True)
-        labels = [e.label for e in events]
-        assert any("flush buffer" in label for label in labels)
-
-    def test_write_hit_walk_has_no_internal_read(self):
-        events = walk_write(hbm3_cache_timing(), rldram_like_tag_timing(),
-                            miss_dirty=False)
-        assert not any("flush buffer" in e.label for e in events)
-
-    def test_probe_walk_cycles_tag_bank(self):
-        events = walk_probe(rldram_like_tag_timing())
-        assert events[-1].time_ps == ns(12)  # tRC_TAG
-        assert events[-1].time_ns == 12.0
-
-
 class TestTagMats:
-    GEO = DramGeometry(channels=8, banks_per_channel=16, rows_per_bank=64,
-                       columns_per_row=32)
-
-    def test_storage_overhead_is_3_over_64(self):
-        layout = layout_for(self.GEO)
-        assert layout.storage_overhead == pytest.approx(3 / 64)
-        assert layout.tag_bytes == layout.data_blocks * 3
-
-    def test_tags_only_in_even_banks(self):
-        layout = layout_for(self.GEO)
-        assert layout.tag_banks == (8 * 16) // 2
-
-    def test_four_tag_mats_per_data_mat(self):
-        layout = layout_for(self.GEO, data_mats_per_bank=16)
-        assert layout.tag_mats_per_bank == 64
-
     def test_paper_inequalities_hold(self):
-        timing, tag = hbm3_cache_timing(), rldram_like_tag_timing()
-        assert internal_result_hidden(timing, tag)
-        assert flush_move_safe(timing, tag)
-
-    def test_device_level_tag_speed_ratio(self):
-        """Raw device ratio: (tRCD+tCL+tBURST) / (tRCD_TAG+tHM) = 32/15."""
-        ratio = tag_check_speed_ratio(hbm3_cache_timing(), rldram_like_tag_timing())
-        assert ratio == pytest.approx(32 / 15)
+        """§III-C4, as the selfcheck states them on Table III timing."""
+        details = {r.name: (r.passed, r.detail) for r in run_selfcheck()}
+        assert details["internal tag result hides under tRCD (§III-C4)"] == (
+            True, "tRCD_TAG + tHM_int = 10.0 ns vs tRCD = 12.0 ns")
+        assert details[
+            "flush-buffer move beats incoming write data (§III-C4)"] == (
+            True, "tRL_core = 2.0 ns vs 9.0 ns")
 
 
 class TestAreaAndSignals:
@@ -209,3 +110,10 @@ class TestAreaAndSignals:
 
     def test_new_signals_fit_unused_bumps(self):
         assert signal_report().fits_in_unused_bumps
+
+    def test_paper_tag_width_example(self):
+        """§III-C3: 1 PB space on a 64 GiB direct-mapped cache -> 14 bits."""
+        assert tag_bits_for(2 ** 50, 64 * 2 ** 30) == 14
+
+    def test_tag_bits_zero_when_cache_covers_space(self):
+        assert tag_bits_for(2 ** 20, 2 ** 20) == 0

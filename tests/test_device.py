@@ -80,10 +80,17 @@ class TestTagPath:
         assert grant.hm_at == ns(15) + HM_PACKET_TIME
 
     def test_hm_result_precedes_read_data(self):
-        """The conditional-response enabler: HM before the data slot."""
+        """The conditional-response enabler: HM before the data slot,
+        by tRCD + tCL - (tRCD_TAG + tHM) less the 0.75 ns packet."""
         _sim, ch = make_channel(tag=True)
         grant = ch.issue_access(0, 0, is_write=False, with_tag=True)
         assert grant.hm_at < grant.data_start
+        assert grant.data_start - grant.hm_at == ns(14.25)
+
+    def test_hm_packet_is_six_beats_at_data_rate(self):
+        """§III-B: 3 B of metadata take 6 beats on the 4-bit HM bus."""
+        beat = ns(1 / hbm3_cache_timing().data_rate_gbps)
+        assert HM_PACKET_TIME == (3 * 8 // 4) * beat == ns(0.75)
 
     def test_hm_delay_override(self):
         _sim, ch = make_channel(tag=True)
@@ -101,7 +108,8 @@ class TestTagPath:
         grant = ch.issue_probe(3, 0)
         assert grant.data_start is None
         assert grant.hm_at == ns(15) + HM_PACKET_TIME
-        assert ch.banks[3].ready_at == 0          # data bank untouched
+        assert all(bank.is_ready(0) for bank in ch.banks)  # data banks free
+        assert ch.dq.free_at == 0
         assert ch.tag_banks[3].ready_at == ns(12)  # tRC_TAG
 
     def test_can_probe_requires_all_slots_free(self):
@@ -117,6 +125,42 @@ class TestTagPath:
         assert not ch.can_probe(0, 0)
         with pytest.raises(ProtocolError):
             ch.issue_probe(0, 0)
+
+
+class TestFigureWalks:
+    """Figures 5 and 6 as the simulated channel times them (Table III,
+    one command at t=0 on a fresh channel; Figure 7's probe is in
+    TestTagPath)."""
+
+    def test_actrd_hit_books_hm_packet_then_data_burst(self):
+        _sim, ch = make_channel(tag=True)
+        grant = ch.issue_access(0, 0, is_write=False, with_tag=True)
+        assert grant.issue == 0
+        assert grant.hm_at - HM_PACKET_TIME == ns(15)
+        assert ch.hm.free_at == grant.hm_at == ns(15.75)
+        assert ch.hm.busy_time == HM_PACKET_TIME
+        assert (grant.data_start, grant.data_end) == (ns(30), ns(32))
+        assert ch.bytes_read == 64
+
+    def test_actrd_miss_clean_keeps_dq_slot_without_data(self):
+        """§III-D1: the command timing is fixed, so the slot is reserved
+        even though no data is driven."""
+        _sim, ch = make_channel(tag=True)
+        grant = ch.issue_access(0, 0, is_write=False, with_tag=True,
+                                transfer=False)
+        assert (grant.data_start, grant.data_end) == (ns(30), ns(32))
+        assert ch.dq.free_at == ns(32)
+        assert ch.bytes_read == 0
+
+    def test_actwr_data_at_trcd_wr_plus_tcwl(self):
+        _sim, ch = make_channel(tag=True)
+        t = hbm3_cache_timing()
+        grant = ch.issue_access(0, 0, is_write=True, with_tag=True)
+        assert grant.data_start == t.tRCD_WR + t.tCWL == ns(13)
+        assert grant.data_end == ns(15)
+        assert grant.hm_at == ns(15.75)
+        assert ch.banks[0].ready_at == t.write_bank_busy
+        assert ch.bytes_written == 64
 
 
 class TestRefresh:

@@ -44,5 +44,6 @@ def test_timing_diagram_output_matches_paper_instants():
         "timing_diagrams.py"
     result = subprocess.run([sys.executable, str(path)],
                             capture_output=True, text=True, timeout=120)
-    assert "15.00 ns  HM result at controller" in result.stdout
+    assert "15.00 ns  HM packet starts on the HM bus" in result.stdout
+    assert "15.75 ns  HM result at controller" in result.stdout
     assert "30.00 ns  data burst starts" in result.stdout

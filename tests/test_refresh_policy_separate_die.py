@@ -10,10 +10,10 @@ from repro.dram.timing import (
     rldram_like_tag_timing,
     separate_die_tag_timing,
 )
-from repro.core.tag_mats import internal_result_hidden
 from repro.errors import ProtocolError
 from repro.experiments.runner import run_experiment
 from repro.sim.kernel import Simulator
+from repro.validation import run_selfcheck
 
 
 class TestPerBankRefresh:
@@ -80,9 +80,14 @@ class TestSeparateDieTags:
     def test_separate_die_breaks_the_latency_hiding(self):
         """§III-C2/C4: the same-die choice keeps the internal result
         under tRCD; a TSV hop forfeits that."""
-        timing = hbm3_cache_timing()
-        assert internal_result_hidden(timing, rldram_like_tag_timing())
-        assert not internal_result_hidden(timing, separate_die_tag_timing())
+        name = "internal tag result hides under tRCD (§III-C4)"
+        same = {r.name: r for r in run_selfcheck()}[name]
+        separate = {r.name: r for r in
+                    run_selfcheck(tag=separate_die_tag_timing())}[name]
+        assert same.passed
+        assert not separate.passed
+        assert separate.detail == ("tRCD_TAG + tHM_int = 13.0 ns vs "
+                                   "tRCD = 12.0 ns")
 
     def test_tdram_still_functions_with_separate_die_tags(self):
         config = SystemConfig(

@@ -30,7 +30,6 @@ class TestTableIIIValues:
         assert t.tRRD == ns(2)
         assert t.tXAW == ns(16)
         assert t.tRL_core == ns(2)
-        assert t.tRTW_int == ns(1)
 
     def test_tag_timings_match_table3(self):
         t = rldram_like_tag_timing()
