@@ -5,10 +5,9 @@ Runs every cell of ``tools/regen_golden.py`` under a stdlib
 ``sys.settrace`` line tracer and reports, for the packages the golden
 corpus is meant to lock (``repro.cache``, ``dram``, ``memory``,
 ``core``, ``energy`` and ``stats``), each statement line that no cell
-reaches::
+reaches, then a per-module summary::
 
-    python tools/golden_coverage.py            # per-module summary
-    python tools/golden_coverage.py --lines    # plus every unreached line
+    python tools/golden_coverage.py
 
 A line listed here can change without moving any golden file, so a
 refactor touching it needs another test. The report is informational:
@@ -103,10 +102,7 @@ def trace_cells(watched: Set[str]) -> Dict[str, Set[int]]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Trace the golden cells and print the unreached-line report."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--lines", action="store_true",
-                        help="list every unreached line, not only counts")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
     files = target_files()
     hit = trace_cells({str(path) for path in files})
@@ -123,8 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         name = str(path.relative_to(SRC))
         print(f"{name:44} {len(stmts):6} {len(missed):9}")
-        if args.lines:
-            print(f"    {', '.join(map(str, missed))}")
+        print(f"    {', '.join(map(str, missed))}")
     print()
     print(f"{'module':44} {'stmts':>6} {'unreached':>9}")
     for package in PACKAGES:
