@@ -35,6 +35,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -272,7 +273,19 @@ class TaskSupervisor:
                 budget = None
                 if policy.deadline_s is not None:
                     budget = policy.deadline_s * len(rows)
-                future = pool.submit(self.worker, rows)
+                try:
+                    future = pool.submit(self.worker, rows)
+                except BrokenProcessPool:
+                    # A worker died after this wave began, so this group
+                    # never started: requeue it uncharged. The dead
+                    # worker's own future reports the crash and recycles
+                    # the pool; with none in flight, recycle here.
+                    for key in group:
+                        attempts[key] -= 1
+                        requeue(key, attempts[key], charge_backoff=False)
+                    if not in_flight:
+                        self._recycle_pool()
+                    return
                 in_flight[future] = _Chunk(rows, submitted_at, budget)
 
         try:

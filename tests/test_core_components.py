@@ -1,6 +1,7 @@
-"""Unit tests for TDRAM's device internals: flush buffer, the §III-C4
-inequalities, and area/signal/tag-width arithmetic. Command timing is
-tested on the device in test_device.py."""
+"""Unit tests for TDRAM's device internals: flush buffer, the HM window
+and probe on the simulated channel, the §III-C4 inequalities, and
+area/signal/tag-width arithmetic. The other Figure 5/6 command timings
+are tested on the device in test_device.py."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,10 @@ from repro.core.area import (
     tag_bits_for,
 )
 from repro.core.flush_buffer import FlushBuffer
+from repro.dram.device import HM_PACKET_TIME, DramChannel
+from repro.dram.timing import hbm3_cache_timing, rldram_like_tag_timing
 from repro.errors import ConfigError
+from repro.sim.kernel import Simulator, ns
 from repro.validation import run_selfcheck
 
 
@@ -75,6 +79,34 @@ class TestFlushBuffer:
         for block in blocks:
             fb.add(block)
             assert len(fb) <= 16
+
+
+class TestCommandWalks:
+    """One command at t=0 on a fresh Table III channel with tag mats."""
+
+    @staticmethod
+    def channel():
+        return DramChannel(Simulator(), hbm3_cache_timing(), 16,
+                           tag_timing=rldram_like_tag_timing(),
+                           enable_refresh=False)
+
+    def test_hm_reaches_controller_before_data(self):
+        """Fig. 5's central property: the conditional response window,
+        tRCD + tCL - (tRCD_TAG + tHM) less the 0.75 ns HM packet."""
+        assert HM_PACKET_TIME == ns(0.75)
+        grant = self.channel().issue_access(0, 0, is_write=False,
+                                            with_tag=True)
+        assert grant.hm_at < grant.data_start
+        assert grant.data_start - grant.hm_at == ns(14.25)
+
+    def test_probe_walk_cycles_tag_bank(self):
+        """Fig. 7: a probe busies only its tag bank, for tRC_TAG."""
+        ch = self.channel()
+        grant = ch.issue_probe(3, 0)
+        assert grant.data_start is None
+        assert ch.tag_banks[3].ready_at == ns(12)  # tRC_TAG
+        assert all(bank.is_ready(0) for bank in ch.banks)  # data banks free
+        assert ch.dq.free_at == 0
 
 
 class TestTagMats:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -254,6 +256,50 @@ class TestSupervisor:
         assert stats.worker_crashes >= 1
         assert stats.pool_recycles >= 1
         assert stats.pools_created == stats.pool_recycles + 1
+
+    def test_pool_broken_between_submits_of_one_wave(self):
+        """A worker that dies before the wave's next submit makes that
+        submit raise: the unsent task is requeued without being charged,
+        the dead task is charged as a crash, and a fresh pool runs both."""
+        pools = []
+
+        class PoolBrokenMidWave:
+            def __init__(self, max_workers, initializer, initargs):
+                self.breaks = not pools
+                self.submits = 0
+                pools.append(self)
+
+            def submit(self, fn, rows):
+                future = Future()
+                self.submits += 1
+                if self.breaks and self.submits > 1:
+                    raise BrokenProcessPool("a child process died")
+                if self.breaks:
+                    future.set_exception(
+                        BrokenProcessPool("a child process died"))
+                else:
+                    future.set_result(fn(rows))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        charged = []
+
+        def on_failure(key, kind, detail):
+            charged.append((key, kind))
+            return True
+
+        results = {}
+        supervisor = TaskSupervisor(jobs=2, policy=RetryPolicy(retries=3),
+                                    worker=_double_worker,
+                                    pool_factory=PoolBrokenMidWave)
+        stats = supervisor.run({"k0": (0,), "k1": (1,)},
+                               results.__setitem__, on_failure)
+        assert results == {"k0": 0, "k1": 2}
+        assert charged == [("k0", "crash")]
+        assert stats.worker_crashes == 1
+        assert stats.pools_created == 2 and stats.pool_recycles == 1
 
     def test_deadline_reaps_hung_worker(self):
         """A task sleeping 60s under a 0.5s deadline is killed and
