@@ -35,6 +35,14 @@ class Outcome(enum.Enum):
 _sequence = itertools.count()
 
 
+def next_sequence() -> int:
+    """A fresh demand age: older than every later demand, younger than
+    every earlier one. Only the relative order of two numbers means
+    anything; their absolute values depend on what the process ran
+    before."""
+    return next(_sequence)
+
+
 class DemandRequest:
     """One 64 B demand travelling through the memory system.
 
@@ -55,7 +63,7 @@ class DemandRequest:
         self.core_id = core_id
         #: synthetic instruction address (region id) for MAP-I prediction
         self.pc = pc
-        self.seq = next(_sequence)
+        self.seq = next_sequence()
         #: set by the controller when the demand enters its queues
         self.arrive_time = -1
         #: completion callback (front end wiring); receives finish time
