@@ -27,7 +27,6 @@ from repro.energy.power_model import EnergyModel
 from repro.errors import ConfigError
 from repro.obs.config import ObsConfig
 from repro.ras.config import RasConfig
-from repro.sim.sampling import SamplingConfig
 
 GIB = 1024 ** 3
 MIB = 1024 ** 2
@@ -139,10 +138,6 @@ class SystemConfig:
     max_outstanding_reads_per_core: int = 4
     # -- methodology --
     warmup_fraction: float = 0.2
-    #: SMARTS-style sampled simulation (detailed windows + functional
-    #: fast-forward with CI estimates); disabled = exact. Every knob
-    #: rides the full-config cache key like any other field.
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
     energy_model: EnergyModel = field(default_factory=EnergyModel)
     # -- reliability (fault campaigns; disabled by default) --
     ras: RasConfig = field(default_factory=RasConfig)

@@ -11,9 +11,6 @@ Installed as ``tdram-repro``::
     tdram-repro campaign --resume    # reuse cache + replay the journal
     tdram-repro campaign --backend pcm_like
                                      # same sweep over a PCM-like store
-    tdram-repro run tdram ft.D --sampled
-                                     # SMARTS-style sampled estimate
-                                     # with confidence intervals
     tdram-repro backends --jobs 4    # DDR5 vs PCM vs CXL speedup figure
     tdram-repro chaos --jobs 2       # prove bit-identical results under
                                      # injected crashes/corruption
@@ -38,7 +35,6 @@ from typing import Callable, Dict, Optional
 
 from repro.config.system import SystemConfig
 from repro.experiments.campaign import ResultCache, run_campaign, tasks_for
-from repro.sim.sampling import SamplingConfig
 from repro.resilience import (
     CampaignJournal,
     ChaosConfig,
@@ -228,36 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="selfcheck: also run one synthetic workload "
                              "twice with the same seed and require "
                              "bit-identical counters/epochs")
-    parser.add_argument("--sampled", action="store_true",
-                        help="campaign/run: SMARTS-style sampled "
-                             "simulation — detailed windows + functional "
-                             "fast-forward; results carry per-metric "
-                             "confidence intervals and are cached under "
-                             "their own key, never served for exact "
-                             "requests (see docs/performance.md)")
-    parser.add_argument("--sample-detail", type=int, default=100,
-                        help="sampled: demands per core simulated in "
-                             "detail per window (default 100)")
-    parser.add_argument("--sample-fastforward", type=int, default=400,
-                        help="sampled: demands per core fast-forwarded "
-                             "between windows (default 400)")
-    parser.add_argument("--sample-confidence", type=float, default=0.95,
-                        help="sampled: confidence level of the reported "
-                             "intervals (0.90, 0.95, or 0.99; default "
-                             "0.95)")
     return parser
-
-
-def _speed_config(config: SystemConfig, args) -> SystemConfig:
-    """Apply the --sampled speed knobs to a base config."""
-    if args.sampled:
-        config = config.with_(sampling=SamplingConfig(
-            enabled=True,
-            detail_demands=args.sample_detail,
-            fastforward_demands=args.sample_fastforward,
-            confidence=args.sample_confidence,
-        ))
-    return config
 
 
 def _cache(args) -> Optional[ResultCache]:
@@ -420,19 +387,17 @@ def main(argv=None) -> int:
             specs = full_suite()
         else:
             specs = representative_suite()
-        config = _speed_config(
-            SystemConfig.small().with_(memory_backend=args.backend), args)
+        config = SystemConfig.small().with_(memory_backend=args.backend)
+        cache = _cache(args)
         trace_dir = None
         if args.trace:
             from repro.obs import ObsConfig
 
             config = config.with_(obs=ObsConfig(trace=True))
-            cache = _cache(args)
             trace_dir = str(cache.root) if cache is not None else ".tdram_cache"
         tasks = tasks_for(designs, specs, config=config,
                           demands_per_core=args.demands, seeds=[args.seed],
                           trace_dir=trace_dir)
-        cache = _cache(args)
         policy = RetryPolicy(retries=args.retries, deadline_s=args.deadline,
                              backoff_base_s=args.backoff,
                              jitter_seed=args.seed,
@@ -514,8 +479,7 @@ def main(argv=None) -> int:
             print("usage: tdram-repro run DESIGN WORKLOAD", file=sys.stderr)
             return 2
         design, workload_name = args.args
-        config = _speed_config(
-            SystemConfig.small().with_(memory_backend=args.backend), args)
+        config = SystemConfig.small().with_(memory_backend=args.backend)
         result = run_experiment(design, workload_name, config=config,
                                 demands_per_core=args.demands, seed=args.seed)
         for key, value in sorted(vars(result).items()):

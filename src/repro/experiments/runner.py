@@ -19,7 +19,6 @@ from repro.energy.power_model import EnergyMeter
 from repro.errors import ConfigError, SimulationError
 from repro.frontend.core_model import build_cores
 from repro.memory.backend import MemoryBackend, build_backend
-from repro.sim import sampling
 from repro.sim.kernel import Simulator, ns, to_ns
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.suite import demand_stream, workload as lookup_workload
@@ -96,10 +95,6 @@ class RunResult:
     epochs: Dict[str, List[float]] = field(default_factory=dict)
     #: kernel-profiler digest (empty unless config.obs.profile)
     profile: Dict[str, object] = field(default_factory=dict)
-    #: sampled-simulation estimate quality (empty for exact runs):
-    #: window count, coverage, and per-metric mean/half-width at the
-    #: configured confidence — see docs/performance.md
-    sampling: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.coerce_builtin()
@@ -175,10 +170,6 @@ def _run(
     """Shared simulation core for generator- and trace-driven runs."""
     if design not in DESIGNS:
         raise ConfigError(f"unknown design {design!r}; choose from {sorted(DESIGNS)}")
-    if config.sampling.enabled:
-        return _run_sampled(design, spec, config, streams, demands_per_core,
-                            seed, prewarm_blocks=prewarm_blocks,
-                            trace_out=trace_out)
     sim = Simulator()
     mm_meter = EnergyMeter(config.energy_model, config.mm_channels, False)
     main_memory = build_backend(sim, config, meter=mm_meter)
@@ -323,141 +314,6 @@ def _harvest(design: str, spec: WorkloadSpec, sink,
         result.profile = obs.profile_summary()
         if trace_out is not None:
             obs.write_trace(trace_out)
-    return result.coerce_builtin()
-
-
-def _window_snapshot(sink, sim: Simulator) -> Dict[str, int]:
-    """Cumulative counters at a window boundary (deltas = one window).
-
-    Snapshot/delta instead of per-window resets: resetting
-    ``CacheMetrics`` mid-run would also clobber the epoch time-series
-    and observer state, and the pooled post-warm statistics double as
-    the RunResult's standard fields.
-    """
-    metrics = sink.metrics
-    return {
-        "now": sim.now,
-        "demands": metrics.outcomes["demands"],
-        "misses": metrics.outcomes["misses"],
-        "read_latency_ps": metrics.read_latency.total_ps,
-        "read_latency_n": metrics.read_latency.count,
-        "tag_check_ps": metrics.tag_check.total_ps,
-        "tag_check_n": metrics.tag_check.count,
-    }
-
-
-def _append_window(samples: Dict[str, List[float]],
-                   before: Dict[str, int], after: Dict[str, int]) -> None:
-    """Turn two cumulative snapshots into one window's sample points."""
-    demands = after["demands"] - before["demands"]
-    if demands <= 0:
-        return  # an empty window carries no information
-    samples["miss_ratio"].append(
-        (after["misses"] - before["misses"]) / demands)
-    samples["demand_period_ps"].append(
-        (after["now"] - before["now"]) / demands)
-    reads = after["read_latency_n"] - before["read_latency_n"]
-    if reads > 0:
-        samples["read_latency_ns"].append(to_ns(
-            after["read_latency_ps"] - before["read_latency_ps"]) / reads)
-    tags = after["tag_check_n"] - before["tag_check_n"]
-    if tags > 0:
-        samples["tag_check_ns"].append(to_ns(
-            after["tag_check_ps"] - before["tag_check_ps"]) / tags)
-
-
-def _run_sampled(
-    design: str,
-    spec: WorkloadSpec,
-    config: SystemConfig,
-    streams,
-    demands_per_core: int,
-    seed: int,
-    prewarm_blocks=None,
-    trace_out: Optional[str] = None,
-) -> RunResult:
-    """SMARTS-style sampled run: detailed windows + functional warming.
-
-    Alternates exactly-simulated measurement windows with
-    :func:`repro.sim.sampling.functional_fastforward` phases that keep
-    the tag store architecturally warm at zero timing cost. Pooled
-    post-warm statistics fill the standard RunResult fields;
-    ``runtime_ps`` and the energy totals are extrapolated to the full
-    post-warm quantum, and per-window dispersion lands on
-    ``RunResult.sampling`` as mean ± CI half-width per tracked metric.
-    """
-    cfg = config.sampling
-    windows = sampling.plan(demands_per_core, cfg)
-    if cfg.warmup_windows >= len(windows):
-        raise ConfigError(
-            f"sampling.warmup_windows={cfg.warmup_windows} consumes all "
-            f"{len(windows)} windows of a {demands_per_core}-demand "
-            f"quantum; lower it or raise demands_per_core")
-
-    sim = Simulator()
-    mm_meter = EnergyMeter(config.energy_model, config.mm_channels, False)
-    main_memory = build_backend(sim, config, meter=mm_meter)
-    sink = DESIGNS[design](sim, config, main_memory)
-    _prewarm(sink, spec, config, seed, blocks=prewarm_blocks)
-
-    samples: Dict[str, List[float]] = {
-        "miss_ratio": [], "demand_period_ps": [],
-        "read_latency_ns": [], "tag_check_ns": [],
-    }
-    measure_start = 0
-    fastforwarded = 0  # post-warm demands replayed functionally
-    sim_events = 0
-
-    for index, (detail, fastforward) in enumerate(windows):
-        before = _window_snapshot(sink, sim)
-        cores, progress = build_cores(
-            sim, sink, streams, detail,
-            config.max_outstanding_reads_per_core, 0.0,
-        )
-        progress.on_all_done = sim.stop
-        for core in cores:
-            core.start()
-        sim_events += _drive(sim, progress, design, spec)
-
-        if index + 1 == cfg.warmup_windows:
-            # Last warm-up window just finished: start measuring here.
-            measure_start = sim.now
-            _reset_measurement(sink, mm_meter, main_memory)
-        elif index >= cfg.warmup_windows:
-            _append_window(samples, before, _window_snapshot(sink, sim))
-        if fastforward > 0:
-            consumed = sampling.functional_fastforward(
-                sink, streams, fastforward)
-            if index >= cfg.warmup_windows - 1:
-                fastforwarded += consumed
-
-    measured_runtime = max(1, sim.now - measure_start)
-    measured_demands = sink.metrics.demands
-    if measured_demands == 0:
-        raise SimulationError(
-            f"{design}/{spec.name}: sampled run measured zero demands")
-    # Extrapolate time-proportional totals to the full post-warm
-    # quantum: the fast-forwarded demands took zero simulated time, so
-    # scale by (measured + fast-forwarded) / measured.
-    factor = (measured_demands + fastforwarded) / measured_demands
-
-    result = _harvest(design, spec, sink, main_memory, mm_meter,
-                      measured_runtime, sim_events, trace_out)
-    result.runtime_ps = int(measured_runtime * factor)
-    result.energy_pj *= factor
-    result.cache_energy_pj *= factor
-    result.sampling = {
-        "windows": len(windows) - cfg.warmup_windows,
-        "warmup_windows": cfg.warmup_windows,
-        "detail_demands": cfg.detail_demands,
-        "fastforward_demands": cfg.fastforward_demands,
-        "confidence": cfg.confidence,
-        "measured_demands": measured_demands,
-        "fastforwarded_demands": fastforwarded,
-        "coverage": measured_demands / (measured_demands + fastforwarded),
-        "extrapolation": factor,
-        "ci": sampling.estimate(samples, cfg.confidence),
-    }
     return result.coerce_builtin()
 
 
